@@ -24,9 +24,12 @@ functions serve both purposes — only the interpretation of the bound differs.
 Caching and trimming
 --------------------
 Both mapping functions are backed by a keyed, bounded LRU cache
-(``params + resolved bounds + mass_tol`` → :class:`MappedMMPP`), so the
+(``chain rates + resolved bounds + mass_tol`` → :class:`MappedMMPP`), so the
 headline pipeline and the figure sweeps stop rebuilding the identical
-truncated chain once per Solution.  Because the cached :class:`MappedMMPP`
+truncated chain once per Solution.  The key holds only what the builders
+read — user rates, per-type application rates and message arrival rates —
+so parameter sets that differ in message service rate or name (a
+service-rate sweep) share one chain.  Because the cached :class:`MappedMMPP`
 instances are shared, everything they memoize is shared too: the modulating
 chain's stationary vector (cached on the :class:`~repro.markov.ctmc.CTMC`),
 the analytic kernels (cached on the :class:`~repro.markov.mmpp.MMPP`, one
@@ -73,8 +76,12 @@ __all__ = [
 #: How many standard deviations beyond the mean the default truncation keeps.
 _DEFAULT_SPREAD = 6.0
 
-#: Bound on the number of distinct (params, bounds, mass_tol) chains kept.
+#: Bound on the number of distinct (chain, bounds, mass_tol) chains kept.
 _CACHE_SIZE = 64
+
+#: The fields of a HAP its modulating chain depends on:
+#: ``(lambda, mu, ((lambda_i, mu_i, (lambda_i1, .., lambda_im)), ..))``.
+ChainKey = tuple[float, float, tuple[tuple[float, float, tuple[float, ...]], ...]]
 
 
 @dataclass(frozen=True)
@@ -165,8 +172,9 @@ def hap_to_mmpp(
         below this threshold (see module docstring).  ``None`` keeps the
         full rectangle.
 
-    Results are memoized per ``(params, bounds, mass_tol)`` — repeated calls
-    return the *same* :class:`MappedMMPP` instance.
+    Results are memoized per ``(chain rates, bounds, mass_tol)`` —
+    repeated calls, and calls whose parameters differ only in message
+    service rates or names, return the *same* :class:`MappedMMPP` instance.
     """
     if bounds is None:
         bounds = default_bounds(params)
@@ -176,7 +184,9 @@ def hap_to_mmpp(
             f"need {params.num_app_types + 1} bounds (x plus one per app type), "
             f"got {len(bounds)}"
         )
-    return _cached_general_map(params, bounds, _normalize_mass_tol(mass_tol))
+    return _cached_general_map(
+        _chain_key(params), bounds, _normalize_mass_tol(mass_tol)
+    )
 
 
 def symmetric_hap_to_mmpp(
@@ -191,8 +201,8 @@ def symmetric_hap_to_mmpp(
     occur at ``x * l * lambda'`` and the message rate is ``y * m * lambda''``.
     ``mass_tol`` trims low-mass box states exactly as in :func:`hap_to_mmpp`.
 
-    Results are memoized per ``(params, x_max, y_max, mass_tol)`` — repeated
-    calls return the *same* :class:`MappedMMPP` instance.
+    Results are memoized per ``(chain rates, x_max, y_max, mass_tol)``
+    exactly as in :func:`hap_to_mmpp`.
 
     Raises
     ------
@@ -212,7 +222,23 @@ def symmetric_hap_to_mmpp(
         variance = params.mean_users * c_total * (1.0 + c_total)
         y_max = _spread_bound(params.mean_applications, variance, _DEFAULT_SPREAD)
     return _cached_symmetric_map(
-        params, int(x_max), int(y_max), _normalize_mass_tol(mass_tol)
+        _chain_key(params), int(x_max), int(y_max), _normalize_mass_tol(mass_tol)
+    )
+
+
+def _chain_key(params: HAPParameters) -> ChainKey:
+    """The cache key: every rate the chain builders read, nothing else."""
+    return (
+        params.user_arrival_rate,
+        params.user_departure_rate,
+        tuple(
+            (
+                app.arrival_rate,
+                app.departure_rate,
+                tuple(msg.arrival_rate for msg in app.messages),
+            )
+            for app in params.applications
+        ),
     )
 
 
@@ -224,53 +250,49 @@ def _normalize_mass_tol(mass_tol: float | None) -> float | None:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cached_general_map(
-    params: HAPParameters,
+    chain: ChainKey,
     bounds: tuple[int, ...],
     mass_tol: float | None,
 ) -> MappedMMPP:
     space = StateSpace(bounds)
-    lam = params.user_arrival_rate
-    mu = params.user_departure_rate
-    apps = params.applications
+    lam, mu, apps = chain
 
     def transitions(state):
         x = state[0]
         yield (x + 1, *state[1:]), lam
         if x > 0:
             yield (x - 1, *state[1:]), x * mu
-        for i, app in enumerate(apps):
+        for i, (app_arrival, app_departure, _) in enumerate(apps):
             y = state[1 + i]
             up = list(state)
             up[1 + i] = y + 1
-            yield tuple(up), x * app.arrival_rate
+            yield tuple(up), x * app_arrival
             if y > 0:
                 down = list(state)
                 down[1 + i] = y - 1
-                yield tuple(down), y * app.departure_rate
+                yield tuple(down), y * app_departure
 
     generator = build_generator(space, transitions)
     coords = space.coordinate_arrays()
     rates = np.zeros(space.size)
-    for i, app in enumerate(apps):
-        rates += coords[1 + i] * app.total_message_rate
+    for i, (_, _, message_rates) in enumerate(apps):
+        rates += coords[1 + i] * sum(message_rates)
     mapped = MappedMMPP(mmpp=MMPP(generator, rates), space=space)
     return _trim_by_mass(mapped, mass_tol)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cached_symmetric_map(
-    params: HAPParameters,
+    chain: ChainKey,
     x_max: int,
     y_max: int,
     mass_tol: float | None,
 ) -> MappedMMPP:
-    app = params.applications[0]
-    per_app_rate = app.total_message_rate
-    invoke_rate = params.num_app_types * app.arrival_rate
+    lam, mu, apps = chain
+    app_arrival, mu_app, message_rates = apps[0]
+    per_app_rate = sum(message_rates)
+    invoke_rate = len(apps) * app_arrival
     space = StateSpace((x_max, y_max))
-    lam = params.user_arrival_rate
-    mu = params.user_departure_rate
-    mu_app = app.departure_rate
 
     def transitions(state):
         x, y = state

@@ -19,22 +19,36 @@ Solver notes
 ------------
 Three ``R`` solvers are provided, all agreeing to tolerance:
 
-* ``"cr"`` (default) — cyclic reduction for ``G`` followed by the standard
-  ``R = A0 (-(A1 + A0 G))^{-1}`` conversion.  Every linear system is solved
-  through one LU factorization per step (``lu_factor``/``lu_solve``; no
-  ``np.linalg.inv`` in the hot path), right-hand sides are stacked so each
-  step does one 2n-column triangular solve, and the first step exploits the
-  MMPP/M/1 block structure (``A0`` diagonal, ``A2 = mu I``) so it costs one
-  factorization instead of four matrix products.  This is the fastest path
-  at the paper's headline phase-space sizes.
-* ``"lr"`` — Latouche–Ramaswami logarithmic reduction (the previous
-  default), kept as an independent quadratically-convergent cross-check.
-* ``"fixed-point"`` — the simple monotone iteration, linear convergence.
+* ``"cr"`` (default) — cyclic reduction specialised to the MMPP/M/1 blocks
+  ``A0 = diag(lambda)`` and ``A2 = mu I``.  The Bini–Meini recurrence runs
+  on a fixed set of preallocated Fortran-order buffers — ``B0``, ``hat``,
+  an LU scratch, the stacked ``[Bm1 B1]``, its solve ``V`` and one
+  ``n x 2n`` product buffer, nine ``n x n`` arrays in all — driven by
+  LAPACK ``getrf``/``getrs`` and GEMMs written in place.  No dense
+  diagonal block or identity is formed: ``A1 = D0 - mu I`` is filled
+  straight from the sparse ``D0``, and the first step uses the block
+  structure directly (one factorization, then row and column scalings).
+  At convergence ``R`` comes in closed form: ``R A2 = A0 G`` with
+  ``G = -mu hat^{-1}`` gives ``R = diag(lambda) G / mu =
+  -diag(lambda) hat^{-1}``, one factorization and one solve of ``hat``
+  with no ``G`` and no second LU.
+* ``"lr"`` — Latouche–Ramaswami logarithmic reduction on dense general
+  blocks, kept as an independent quadratically-convergent oracle.
+* ``"fixed-point"`` — the simple monotone iteration, linear convergence,
+  also on dense general blocks.
 
-The boundary vector is obtained by a square LU solve (replace one column of
-the singular boundary block with the normalization vector ``(I - R)^{-1} 1``)
-instead of a least-squares solve, and the queue moments use LU-backed vector
-solves instead of forming ``(I - R)^{-1}`` explicitly.
+One factorization of ``I - R`` serves both the boundary vector and the
+mean level.  ``w = (I - R)^{-1} 1`` normalizes the boundary system, which
+is ``D0 + mu R`` (built from the sparse ``D0``) with one column replaced by
+``w`` and is solved by one LU instead of least squares; ``E[z] =
+pi_0 R (I - R)^{-1} w`` is computed once and stored on the solution.
+
+Failure semantics: the CR rung calls LAPACK without scipy's finite checks,
+so it checks for itself.  Non-finite blocks, a singular factorization
+(``getrf`` ``info != 0``) or a non-finite ``B1`` raise ``ArithmeticError``
+at once instead of iterating to the cap, and so does a non-finite
+``E[z]``.  :func:`solve_mmpp_m1` reports a failed rung through its
+degradation chain (``DegradationError`` once every rung has failed).
 
 Warm starts: sweeps that solve a ladder of nearby queues (service-rate or
 load sweeps, fig 11/12/19/20 style) can pass ``initial_rate_matrix`` — the
@@ -53,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from repro.markov.mmpp import MMPP
 
@@ -86,6 +100,9 @@ class QBDSolution:
         Mean arrival rate of the input MMPP.
     service_rate:
         The exponential server's rate ``mu``.
+    mean_level:
+        ``E[z] = pi_0 R (I - R)^{-2} 1``, the stationary mean number of
+        customers in system, computed once by the solver.
     diagnostics:
         :class:`~repro.runtime.resilience.SolveDiagnostics` of the ``R``
         solve — whether the warm start answered or the cold solve had to
@@ -97,6 +114,7 @@ class QBDSolution:
     boundary: np.ndarray
     mean_rate: float
     service_rate: float
+    mean_level: float
     diagnostics: object = None
 
     @property
@@ -114,19 +132,12 @@ class QBDSolution:
         return probs
 
     def mean_queue_length(self) -> float:
-        """``E[z] = pi_0 R (I - R)^{-2} 1`` (customers in system).
-
-        Evaluated as two LU-backed vector solves against ``I - R`` — never
-        forming the inverse, which costs three times the factorization.
-        """
-        n = self.rate_matrix.shape[0]
-        lu_ir = lu_factor(np.eye(n) - self.rate_matrix)
-        vec = lu_solve(lu_ir, lu_solve(lu_ir, np.ones(n)))
-        return float(self.boundary @ (self.rate_matrix @ vec))
+        """``E[z] = pi_0 R (I - R)^{-2} 1`` (customers in system)."""
+        return self.mean_level
 
     def mean_delay(self) -> float:
         """Mean time in system via Little's law."""
-        return self.mean_queue_length() / self.mean_rate
+        return self.mean_level / self.mean_rate
 
     def probability_empty(self) -> float:
         """Stationary probability that the system is empty."""
@@ -198,69 +209,107 @@ def _solve_rate_matrix_lr(
     return _rate_from_g(a0, a1, g)
 
 
-def _solve_g_cyclic_reduction(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
+def _factor_in_place(getrf, a: np.ndarray, what: str) -> np.ndarray:
+    """LU-factor the Fortran-order ``a`` in place; return the pivots.
+
+    ``getrf`` runs without scipy's finite check, so a singular factor
+    (``info != 0``) raises here instead of surfacing later as garbage.
+    """
+    _, piv, info = getrf(a, overwrite_a=True)
+    if info != 0:
+        raise ArithmeticError(f"{what} is singular (getrf info {info})")
+    return piv
+
+
+def _solve_rate_matrix_cr(
+    d0: sp.csr_matrix,
+    rates: np.ndarray,
+    mu: float,
     tol: float,
     max_iterations: int,
 ) -> np.ndarray:
-    """Cyclic reduction for ``G`` (minimal solution of A2 + A1 G + A0 G^2 = 0).
+    """Cyclic reduction for ``R`` on ``A0 = diag(rates)``, ``A2 = mu I``.
 
-    Classical Bini–Meini recurrence with the level-up block ``B1``, local
-    block ``B0``, level-down block ``Bm1`` and the "hat" block accumulating
-    the level-0 Schur complement:
+    Classical Bini–Meini recurrence for ``G`` (minimal solution of
+    ``A2 + A1 G + A0 G^2 = 0``) with the level-up block ``B1``, local block
+    ``B0``, level-down block ``Bm1`` and the "hat" block accumulating the
+    level-0 Schur complement:
 
         V   = B0^{-1} [Bm1  B1]          (one LU, one stacked solve)
         hat -= B1 Vm1
         B0  -= B1 Vm1 + Bm1 V1
         Bm1  = -Bm1 Vm1
         B1   = -B1 V1
-        G    = -hat^{-1} A2              (after B1 -> 0, quadratically)
 
-    The first step is special-cased: for MMPP/M/1, ``B1 = A0`` is diagonal
-    and ``Bm1 = A2 = mu I``, so ``Vm1``/``V1`` are row/column scalings of a
-    single explicit inverse and every update is O(n^2) — the step costs one
-    factorization instead of four n^3 products.
+    until ``max|B1| < tol * scale``.  The first step starts from ``B1 =
+    diag(rates)`` and ``Bm1 = mu I``, so with ``X = A1^{-1}`` its products
+    are row and column scalings of ``X``.  Then ``G = -mu hat^{-1}`` and
+    ``R = diag(rates) G / mu = -diag(rates) hat^{-1}``, returned in the
+    ``B0`` buffer.
     """
-    n = a0.shape[0]
-    scale = max(1.0, float(np.abs(a0).max()))
-    b1 = a0.copy()
-    b0 = a1.copy()
-    bm1 = a2.copy()
-    hat = a1.copy()
+    if not (
+        np.isfinite(mu) and np.isfinite(rates).all() and np.isfinite(d0.data).all()
+    ):
+        raise ArithmeticError("QBD blocks have non-finite entries")
+    n = rates.size
+    diag = np.arange(n)
+    top_rate = float(rates.max(initial=0.0))
+    threshold = tol * max(1.0, top_rate)
+    b0 = d0.toarray(order="F")
+    b0[diag, diag] -= mu
+    hat = b0.copy(order="F")
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (b0,))
 
-    diag_up = np.diagonal(a0).copy()
-    mu = float(a2[0, 0])
-    first_step_structured = (
-        np.count_nonzero(a0 - np.diag(diag_up)) == 0
-        and np.allclose(a2, mu * np.eye(n))
-    )
-    if first_step_structured and float(np.abs(b1).max()) >= tol * scale:
-        b0_inv = np.linalg.inv(b0)
-        vm1 = mu * b0_inv
-        v1 = b0_inv * diag_up[None, :]
-        correction = diag_up[:, None] * vm1
-        hat -= correction
-        b0 -= correction + mu * v1
-        bm1 = -mu * vm1
-        b1 = -(diag_up[:, None] * v1)
+    if top_rate >= threshold:
+        lu = np.empty_like(b0)
+        stacked = np.empty((n, 2 * n), order="F")
+        bm1, b1 = stacked[:, :n], stacked[:, n:]
+        v = np.empty_like(stacked)
+        prod = np.empty_like(stacked)
 
-    for _ in range(max_iterations):
-        if float(np.abs(b1).max()) < tol * scale:
-            break
-        lu_b0 = lu_factor(b0)
-        stacked = lu_solve(lu_b0, np.hstack([bm1, b1]))
-        vm1, v1 = stacked[:, :n], stacked[:, n:]
-        up_products = b1 @ stacked
-        down_products = bm1 @ stacked
-        hat -= up_products[:, :n]
-        b0 -= up_products[:, :n] + down_products[:, n:]
-        bm1 = -down_products[:, :n]
-        b1 = -up_products[:, n:]
-    else:
-        raise ArithmeticError("cyclic reduction did not converge")
-    return lu_solve(lu_factor(hat), -a2)
+        def solve_b0(rhs: np.ndarray) -> None:
+            np.copyto(lu, b0)
+            piv = _factor_in_place(getrf, lu, "cyclic-reduction block B0")
+            getrs(lu, piv, rhs, overwrite_b=True)
+
+        x, scaled = v[:, :n], prod[:, :n]
+        x.fill(0.0)
+        x[diag, diag] = 1.0
+        solve_b0(x)
+        np.multiply(x, (mu * rates)[:, None], out=scaled)  # B1 Vm1
+        hat -= scaled
+        b0 -= scaled
+        np.multiply(x, (mu * rates)[None, :], out=scaled)  # Bm1 V1
+        b0 -= scaled
+        np.multiply(x, -mu * mu, out=bm1)
+        np.multiply(x, -rates[:, None], out=b1)
+        b1 *= rates[None, :]
+
+        for _ in range(max_iterations):
+            size = max(float(b1.max()), -float(b1.min()))
+            if not np.isfinite(size):
+                raise ArithmeticError("cyclic reduction produced non-finite blocks")
+            if size < threshold:
+                break
+            np.copyto(v, stacked)
+            solve_b0(v)
+            np.matmul(b1, v, out=prod)  # [B1 Vm1 | B1 V1]
+            hat -= prod[:, :n]
+            b0 -= prod[:, :n]
+            np.negative(prod[:, n:], out=b1)
+            np.matmul(bm1, v, out=prod)  # [Bm1 Vm1 | Bm1 V1]
+            b0 -= prod[:, n:]
+            np.negative(prod[:, :n], out=bm1)
+        else:
+            raise ArithmeticError("cyclic reduction did not converge")
+
+    piv = _factor_in_place(getrf, hat, "cyclic-reduction block hat")
+    rate = b0
+    rate.fill(0.0)
+    rate[diag, diag] = 1.0
+    getrs(hat, piv, rate, overwrite_b=True)
+    rate *= -rates[:, None]
+    return rate
 
 
 def _rate_from_g(a0: np.ndarray, a1: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -269,22 +318,68 @@ def _rate_from_g(a0: np.ndarray, a1: np.ndarray, g: np.ndarray) -> np.ndarray:
     return lu_solve(lu_factor(m.T), a0.T).T
 
 
+def _dense_blocks(
+    d0: sp.csr_matrix, rates: np.ndarray, mu: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense general ``(A0, A1, A2)`` for the oracles and the warm start."""
+    identity = np.eye(rates.size)
+    return np.diag(rates), d0.toarray() - mu * identity, mu * identity
+
+
 def _solve_rate_matrix(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
+    d0: sp.csr_matrix,
+    rates: np.ndarray,
+    mu: float,
     tol: float,
     max_iterations: int,
     method: str = "cr",
 ) -> np.ndarray:
     if method == "cr":
-        g = _solve_g_cyclic_reduction(a0, a1, a2, tol, min(max_iterations, 100))
-        return _rate_from_g(a0, a1, g)
+        return _solve_rate_matrix_cr(d0, rates, mu, tol, min(max_iterations, 100))
+    a0, a1, a2 = _dense_blocks(d0, rates, mu)
     if method == "lr":
         return _solve_rate_matrix_lr(a0, a1, a2, tol, min(max_iterations, 200))
     if method == "fixed-point":
         return _solve_rate_matrix_fixed_point(a0, a1, a2, tol, max_iterations)
     raise ValueError(f"unknown R-matrix method {method!r}")
+
+
+def _boundary_and_mean_level(
+    d0: sp.csr_matrix, rate: np.ndarray, mu: float
+) -> tuple[np.ndarray, float]:
+    """``pi_0`` and ``E[z]`` from one factorization of ``I - R``.
+
+    Boundary: ``pi_0 (D0 + mu R) = 0`` (no service completes at level 0),
+    normalized by ``pi_0 w = 1`` with ``w = (I - R)^{-1} 1``.  The singular
+    block has rank ``n - 1``, so replacing its last column with ``w`` gives
+    a square non-singular system ``pi_0 B' = e_last``, solved as
+    ``B'^T pi_0 = e_last`` through one LU of ``B'``.  The mean level is
+    ``E[z] = pi_0 R (I - R)^{-1} w``.
+    """
+    n = rate.shape[0]
+    diag = np.arange(n)
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (rate,))
+    i_minus_r = np.negative(rate, order="F")
+    i_minus_r[diag, diag] += 1.0
+    piv = _factor_in_place(getrf, i_minus_r, "I - R")
+    w = getrs(i_minus_r, piv, np.ones(n))[0]
+    v = getrs(i_minus_r, piv, w)[0]
+    del i_minus_r  # freed before the boundary system takes its n x n
+
+    system = np.multiply(rate, mu, order="F")
+    coo = d0.tocoo()
+    np.add.at(system, (coo.row, coo.col), coo.data)
+    system[:, n - 1] = w
+    piv = _factor_in_place(getrf, system, "boundary system")
+    rhs = np.zeros(n)
+    rhs[n - 1] = 1.0
+    boundary = np.maximum(getrs(system, piv, rhs, trans=1)[0], 0.0)
+    # Renormalize exactly after clipping tiny negatives.
+    boundary /= float(boundary @ w)
+    mean_level = float(boundary @ (rate @ v))
+    if not np.isfinite(mean_level):
+        raise ArithmeticError("matrix-geometric mean level is not finite")
+    return boundary, mean_level
 
 
 def _refine_rate_matrix(
@@ -347,9 +442,10 @@ def solve_mmpp_m1(
     tol, max_iterations:
         Convergence controls for the ``R`` solve.
     method:
-        ``"cr"`` (default, cyclic reduction — quadratic convergence, LU
-        throughout), ``"lr"`` (logarithmic reduction) or ``"fixed-point"``
-        (the simple monotone iteration).
+        ``"cr"`` (default, cyclic reduction specialised to the MMPP/M/1
+        blocks — quadratic convergence), ``"lr"`` (logarithmic reduction)
+        or ``"fixed-point"`` (the simple monotone iteration); the last two
+        run on dense general blocks as independent oracles.
     initial_rate_matrix:
         Optional warm start (e.g. the previous point of a service-rate
         sweep).  A budgeted fixed-point refinement runs from this guess and
@@ -389,32 +485,25 @@ def solve_mmpp_m1(
             RuntimeWarning,
             stacklevel=2,
         )
-    identity = np.eye(n)
-    # Assemble the blocks sparsely and cross the dense boundary exactly once
-    # (the R solvers are dense by nature — R itself has no sparsity): for a
-    # sparse modulating chain this avoids the two intermediate n x n dense
-    # arrays mmpp.d0() would allocate.
-    if sp.issparse(mmpp.generator):
-        d0 = np.asarray(mmpp.d0_sparse().toarray(), dtype=float)
-    else:
-        d0 = mmpp.d0()
-    a1 = d0 - service_rate * identity
-    a0 = mmpp.d1()
-    a2 = service_rate * identity
+    # The blocks stay sparse: the CR rung fills its dense buffers straight
+    # from D0, and only the dense general-block rungs build A0, A1, A2.
+    d0 = mmpp.d0_sparse()
+    rates = mmpp.rates
     if method not in ("cr", "lr", "fixed-point"):
         raise ValueError(f"unknown R-matrix method {method!r}")
     from repro.runtime.resilience import DegradationChain, RungRejected
 
     rungs = []
     if initial_rate_matrix is not None:
-        if initial_rate_matrix.shape != a0.shape:
+        if initial_rate_matrix.shape != (n, n):
             raise ValueError(
                 "initial_rate_matrix shape "
                 f"{initial_rate_matrix.shape} does not match the "
-                f"{a0.shape} phase space"
+                f"{(n, n)} phase space"
             )
 
         def refine_warm_start():
+            a0, a1, a2 = _dense_blocks(d0, rates, service_rate)
             refined = _refine_rate_matrix(a0, a1, a2, tol, initial_rate_matrix)
             if refined is None:
                 raise RungRejected(
@@ -425,30 +514,20 @@ def solve_mmpp_m1(
 
         rungs.append(("warm-start", refine_warm_start))
     rungs.append(
-        (method, lambda: _solve_rate_matrix(a0, a1, a2, tol, max_iterations, method))
+        (
+            method,
+            lambda: _solve_rate_matrix(
+                d0, rates, service_rate, tol, max_iterations, method
+            ),
+        )
     )
     rate_matrix, diagnostics = DegradationChain("qbd-rate-matrix", rungs).run()
-
-    # Boundary: pi_0 (B00 + R A2) = 0, normalized by pi_0 (I - R)^{-1} 1 = 1,
-    # where B00 = D0 (no service completes at level 0).  The singular n x n
-    # block has rank n - 1, so replacing one column with the normalization
-    # vector w = (I - R)^{-1} 1 gives a square non-singular system
-    # pi_0 B' = e_last solved by one LU factorization (no least squares).
-    lu_ir = lu_factor(identity - rate_matrix)
-    w = lu_solve(lu_ir, np.ones(n))
-    boundary_block = d0 + service_rate * rate_matrix
-    system = boundary_block.copy()
-    system[:, n - 1] = w
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
-    boundary = lu_solve(lu_factor(system.T), rhs)
-    boundary = np.maximum(boundary, 0.0)
-    # Renormalize exactly after clipping tiny negatives.
-    boundary /= float(boundary @ w)
+    boundary, mean_level = _boundary_and_mean_level(d0, rate_matrix, service_rate)
     return QBDSolution(
         rate_matrix=rate_matrix,
         boundary=boundary,
         mean_rate=mean_rate,
         service_rate=service_rate,
+        mean_level=mean_level,
         diagnostics=diagnostics,
     )

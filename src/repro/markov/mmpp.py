@@ -50,6 +50,11 @@ class MMPP:
 
     def __post_init__(self) -> None:
         self.rates = np.asarray(self.rates, dtype=float)
+        # NaN slips through every sign and row-sum comparison below, so
+        # non-finite input is rejected first.
+        entries = self.generator.data if sp.issparse(self.generator) else self.generator
+        if not (np.isfinite(self.rates).all() and np.isfinite(entries).all()):
+            raise ValueError("MMPP rates and generator entries must be finite")
         self._chain = CTMC(self.generator)
         if self.rates.shape != (self._chain.num_states,):
             raise ValueError("rates must have one entry per modulating state")

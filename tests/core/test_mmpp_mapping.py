@@ -112,20 +112,32 @@ class TestDefaultBounds:
 
 
 class TestMappingCache:
-    def _unique_hap(self, tag: str):
+    # The cache keys on the chain's rates, so each test's HAP gets its own
+    # message arrival rate: a name alone no longer makes a chain unique.
+    _MESSAGE_RATES = {
+        "share": 0.401,
+        "keys": 0.402,
+        "lazy": 0.403,
+        "fields": 0.404,
+        "all": 0.405,
+    }
+
+    def _unique_hap(self, tag: str, **overrides):
         from repro.core.params import HAPParameters
 
-        return HAPParameters.symmetric(
+        fields = dict(
             user_arrival_rate=0.05,
             user_departure_rate=0.05,
             app_arrival_rate=0.05,
             app_departure_rate=0.05,
-            message_arrival_rate=0.4,
+            message_arrival_rate=self._MESSAGE_RATES[tag],
             message_service_rate=3.0,
             num_app_types=2,
             num_message_types=1,
             name=f"cache-{tag}",
         )
+        fields.update(overrides)
+        return HAPParameters.symmetric(**fields)
 
     def test_repeated_calls_share_one_instance(self):
         params = self._unique_hap("share")
@@ -142,6 +154,36 @@ class TestMappingCache:
         assert symmetric_hap_to_mmpp(params) is not symmetric_hap_to_mmpp(
             params, mass_tol=1e-9
         )
+
+    def test_service_rate_and_name_do_not_enter_the_key(self):
+        # Neither the message service rate nor the name is read by the
+        # chain builders, so a service-rate sweep shares one chain.
+        params = self._unique_hap("fields")
+        for variant in (
+            params.with_service_rate(17.0),
+            self._unique_hap("fields", message_service_rate=9.0),
+            self._unique_hap("fields", name="renamed"),
+        ):
+            assert symmetric_hap_to_mmpp(variant) is symmetric_hap_to_mmpp(params)
+            assert hap_to_mmpp(variant) is hap_to_mmpp(params)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"user_arrival_rate": 0.06},
+            {"user_departure_rate": 0.06},
+            {"app_arrival_rate": 0.06},
+            {"app_departure_rate": 0.06},
+            {"message_arrival_rate": 0.5},
+            {"num_app_types": 3},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_every_chain_field_enters_the_key(self, override):
+        params = self._unique_hap("fields")
+        changed = self._unique_hap("fields", **override)
+        assert symmetric_hap_to_mmpp(changed) is not symmetric_hap_to_mmpp(params)
+        assert hap_to_mmpp(changed) is not hap_to_mmpp(params)
 
     def test_construction_never_solves_stationary(self, monkeypatch):
         # The lazy-boundary-mass contract: building an (untrimmed) mapped

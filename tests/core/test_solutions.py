@@ -256,3 +256,34 @@ class TestQBDWarmStart:
         )
         assert warm.mean_delay == pytest.approx(reference.mean_delay, rel=1e-9)
         assert warm.sigma == pytest.approx(reference.sigma, rel=1e-9)
+
+
+class TestSolution0Golden:
+    """Solution 0 on the fig12 exact column, pinned to its recorded delays.
+
+    The references are the mean delays (seconds) of fig12's exact column at
+    mu'' = 17 over the 4-sigma modulating box, as recorded by the
+    repository benchmark.  Any change to the mapping, the QBD solve or its
+    boundary handling that moves them by more than 1e-9 relative fails
+    here.
+    """
+
+    @pytest.mark.parametrize(
+        "lam,reference",
+        [(0.002, 0.08441763791406816), (0.003, 0.10209840004927159)],
+    )
+    def test_fig12_exact_delay(self, lam, reference):
+        from repro.experiments.configs import base_parameters
+
+        params = base_parameters(service_rate=17.0, user_arrival_rate=lam)
+        u = params.mean_users
+        c_total = sum(app.offered_instances for app in params.applications)
+        x_max = int(np.ceil(u + 4.0 * np.sqrt(u)))
+        y_max = int(np.ceil(u * c_total + 4.0 * np.sqrt(u * c_total * (1 + c_total))))
+        result = solve_solution0(
+            params,
+            17.0,
+            backend="qbd",
+            modulating_bounds=(max(x_max, 2), max(y_max, 2)),
+        )
+        assert result.mean_delay == pytest.approx(reference, rel=1e-9)

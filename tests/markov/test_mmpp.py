@@ -27,6 +27,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MMPP(np.zeros((1, 1)), np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        generator = np.array([[-0.5, 0.5], [0.5, -0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            MMPP(generator, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_rejects_non_finite_generator(self, bad, sparse):
+        import scipy.sparse as sp
+
+        generator = np.array([[-0.5, 0.5], [bad, -0.5]])
+        if sparse:
+            generator = sp.csr_matrix(generator)
+        with pytest.raises(ValueError, match="finite"):
+            MMPP(generator, np.array([1.0, 5.0]))
+
     def test_d0_d1_sum_to_generator(self):
         mmpp = simple_mmpp()
         np.testing.assert_allclose(
