@@ -35,8 +35,10 @@ chain's stationary vector (cached on the :class:`~repro.markov.ctmc.CTMC`),
 the analytic kernels (cached on the :class:`~repro.markov.mmpp.MMPP`, one
 per analytic backend — so a chain already factorized under ``dense`` is not
 re-factorized when ``krylov`` is requested, and vice versa), and the
-lazily-computed boundary mass.  Callers must treat cached instances as
-immutable.
+lazily-computed boundary mass, and Solution 0's per-service-rate memo
+of cold QBD answers (:attr:`MappedMMPP.solution0_memo`, see
+:mod:`repro.core.solution0`), which therefore lives and dies with its chain
+in the LRU.  Callers must treat cached instances as immutable.
 
 The generator built here is CSR from :func:`repro.markov.truncation.build_generator`
 and *stays* CSR: mapping, trimming (a sparse row/column slice plus a
@@ -56,7 +58,7 @@ the mass contour instead of the rectangle), shrinking the phase space by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -97,11 +99,19 @@ class MappedMMPP:
     precomputed_boundary_mass:
         Optional boundary mass supplied by the builder (used by mappers that
         already hold a stationary vector); leave ``None`` to defer the solve.
+    solution0_memo:
+        Solution 0's cold ``qbd`` answers on this chain, keyed by
+        ``(service_rate, z_max)`` and owned by
+        :mod:`repro.core.solution0`.  It holds no ``n x n`` array and is
+        left out of equality, hashing and ``repr``.
     """
 
     mmpp: MMPP
     space: StateSpace
     precomputed_boundary_mass: float | None = None
+    solution0_memo: dict = field(
+        default_factory=dict, compare=False, hash=False, repr=False
+    )
 
     @property
     def boundary_mass(self) -> float:

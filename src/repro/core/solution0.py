@@ -20,11 +20,34 @@ the strongest internal-consistency check in the test suite.  Unlike
 Solutions 1 and 2, Solution 0 *preserves the correlation between successive
 interarrivals* — the paper attributes the big accuracy gap at high load
 exactly to that correlation.
+
+Solving once per chain and rate
+-------------------------------
+An MMPP/M/1 queue's stationary behaviour depends only on the MMPP's
+matrices and the service rate, never on the parameter set's name or
+message service rates.  The mapping cache of :mod:`repro.core.mmpp_mapping`
+already returns one shared :class:`~repro.core.mmpp_mapping.MappedMMPP`
+per (chain rates, bounds, ``mass_tol``), so a cold ``qbd`` answer is
+memoized on that chain, keyed by ``(service_rate, z_max)``: fig 11 at
+``mu'' = 17`` and fig 12 at ``lambda = 0.0055`` solve their shared
+1280-phase queue once, and so do the headline and the accuracy table's
+``mu'' = 20`` row when one process runs both.
+
+* A hit skips the QBD solve and the pmf and returns the stored answer with
+  the caller's ``params``; its ``rate_matrix`` is ``None`` (only the call
+  that solved reports ``R``, so the memo holds no ``n x n`` array).
+* Each chain keeps at most :data:`_MEMO_SIZE` entries, dropping the oldest;
+  the memo goes when its chain leaves the mapping LRU or that cache is
+  cleared.
+* A warm-started call (``qbd_initial_rate_matrix`` given) neither reads
+  nor writes the memo, and a call that raises stores nothing.
+* The ``qbd`` pmf is read-only, so no caller can change a stored answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +69,14 @@ __all__ = ["DEFAULT_PHASE_MASS_TOL", "Solution0Result", "solve_solution0"]
 #: cubic work in the matrix-geometric solve while moving the answer at the
 #: 1e-7 relative level; trimming them is the single largest analytic speedup.
 DEFAULT_PHASE_MASS_TOL = 1e-12
+
+#: Cold ``qbd`` answers memoized per mapped chain (distinct ``(mu'', z_max)``
+#: pairs); beyond this the oldest goes, so a bisection over ``mu''`` cannot
+#: grow a chain's memo without limit.
+_MEMO_SIZE = 16
+
+#: Guards memo writes: live solves run in service worker threads.
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -74,13 +105,18 @@ class Solution0Result:
         this is not tiny, enlarge ``z_max``.
     queue_length_pmf:
         Marginal distribution of ``z`` (truncated backends) or the first
-        ``z_max + 1`` probabilities (``qbd``).
+        ``z_max + 1`` probabilities (``qbd``, read-only: it may be shared
+        with the chain's memo).
     backend:
         Which backend produced the numbers.
     rate_matrix:
         The converged matrix-geometric ``R`` (``qbd`` backend only, else
         ``None``) — feed it to a neighbouring sweep point via
-        ``qbd_initial_rate_matrix`` to warm-start its fixed point.
+        ``qbd_initial_rate_matrix`` to warm-start its fixed point.  Only
+        the call that solved reports it: a cold ``qbd`` call answered from
+        the chain's memo (same chain, ``mu''`` and ``z_max`` as an earlier
+        cold call; see the module docstring) reports ``None``.  A
+        warm-started call never reads the memo, so it always reports ``R``.
     """
 
     params: HAPParameters
@@ -317,6 +353,13 @@ def _solve_qbd(
     z_max: int,
     initial_rate_matrix: np.ndarray | None = None,
 ) -> Solution0Result:
+    cold = initial_rate_matrix is None
+    key = (float(service_rate), z_max)
+    memo = mapped.solution0_memo
+    if cold:
+        cached = memo.get(key)
+        if cached is not None:
+            return replace(cached, params=params)
     solution = solve_mmpp_m1(
         mapped.mmpp, service_rate, initial_rate_matrix=initial_rate_matrix
     )
@@ -325,7 +368,9 @@ def _solve_qbd(
     # sigma: arrival-weighted probability of finding the server busy.
     rate_when_empty = float(solution.boundary @ mapped.mmpp.rates)
     sigma = 1.0 - rate_when_empty / mean_rate
-    return Solution0Result(
+    pmf = solution.level_distribution(z_max)
+    pmf.setflags(write=False)
+    result = Solution0Result(
         params=params,
         service_rate=service_rate,
         mean_queue_length=mean_queue,
@@ -334,7 +379,13 @@ def _solve_qbd(
         sigma=sigma,
         utilization=1.0 - solution.probability_empty(),
         boundary_mass=0.0,
-        queue_length_pmf=solution.level_distribution(z_max),
+        queue_length_pmf=pmf,
         backend="qbd",
         rate_matrix=solution.rate_matrix,
     )
+    if cold:
+        with _MEMO_LOCK:
+            if key not in memo and len(memo) >= _MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = replace(result, rate_matrix=None)
+    return result

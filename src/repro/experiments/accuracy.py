@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.core.mmpp_mapping import symmetric_hap_to_mmpp
 from repro.core.solution0 import solve_solution0
 from repro.core.solution1 import solve_solution1
 from repro.core.solution2 import solve_solution2
@@ -117,6 +118,10 @@ def run_runtime_comparison(
     the ordering; absolute times are hardware-bound anyway.
     """
     params = base_parameters(service_rate=20.0)
+    # Time a real solve, not a lookup: drop any answer an earlier call in
+    # this process left in the chain's Solution 0 memo.
+    x_max, y_max = modulating_bounds
+    symmetric_hap_to_mmpp(params, x_max=x_max, y_max=y_max).solution0_memo.clear()
     start = time.perf_counter()
     solve_solution0(params, backend="qbd", modulating_bounds=modulating_bounds)
     t0 = time.perf_counter() - start

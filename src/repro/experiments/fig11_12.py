@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from repro.core.params import HAPParameters
 from repro.core.solution0 import solve_solution0
 from repro.core.solution2 import solve_solution2
@@ -29,7 +31,7 @@ from repro.queueing.mm1 import solve_mm1
 from repro.runtime.analytic import run_analytic_sweep
 from repro.sim.replication import simulate_hap_mm1
 
-__all__ = ["SweepPoint", "run_fig11", "run_fig12"]
+__all__ = ["SweepPoint", "exact_column_bounds", "run_fig11", "run_fig12"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,22 @@ class SweepPoint:
 _EXACT_SPREAD = 4.0
 
 
+def exact_column_bounds(params: HAPParameters) -> tuple[int, int]:
+    """The exact column's ``(x_max, y_max)`` modulating box.
+
+    Mean plus :data:`_EXACT_SPREAD` standard deviations of the user count
+    (Poisson) and of the total application count (mixed Poisson,
+    ``Var = u c (1 + c)`` with ``c`` the offered instances per user), each
+    at least 2.
+    """
+    u = params.mean_users
+    c_total = sum(app.offered_instances for app in params.applications)
+    x_max = int(np.ceil(u + _EXACT_SPREAD * np.sqrt(u)))
+    y_var = u * c_total * (1.0 + c_total)
+    y_max = int(np.ceil(u * c_total + _EXACT_SPREAD * np.sqrt(y_var)))
+    return max(x_max, 2), max(y_max, 2)
+
+
 def _sweep_point(
     params: HAPParameters,
     service_rate: float,
@@ -82,18 +100,11 @@ def _sweep_point(
     sim = simulate_hap_mm1(
         params, horizon=horizon, seed=seed, service_rate=service_rate
     )
-    import numpy as np
-
-    u = params.mean_users
-    c_total = sum(app.offered_instances for app in params.applications)
-    x_max = int(np.ceil(u + _EXACT_SPREAD * np.sqrt(u)))
-    y_var = u * c_total * (1.0 + c_total)
-    y_max = int(np.ceil(u * c_total + _EXACT_SPREAD * np.sqrt(y_var)))
     exact = solve_solution0(
         params,
         service_rate,
         backend="qbd",
-        modulating_bounds=(max(x_max, 2), max(y_max, 2)),
+        modulating_bounds=exact_column_bounds(params),
     )
     sol2 = solve_solution2(params, service_rate)
     mm1 = solve_mm1(lam, service_rate)

@@ -54,10 +54,13 @@ Warm starts: sweeps that solve a ladder of nearby queues (service-rate or
 load sweeps, fig 11/12/19/20 style) can pass ``initial_rate_matrix`` — the
 previous sweep point's ``R``.  The solver then runs a *budgeted* fixed-point
 refinement from that guess and falls back to the full cyclic-reduction solve
-when the refinement does not contract to tolerance within the budget.  The
-refinement's linear contraction rate is ``sp(R) sp(G)``, which approaches 1
-for the near-critical headline queues, so the warm start mainly pays off on
-lightly-loaded sweep points; the fallback keeps the result exact either way.
+when the refinement does not contract to tolerance within the budget.  Like
+the CR rung, the refinement works on the MMPP/M/1 blocks themselves: one LU
+of ``A1 = D0 - mu I``, then one GEMM and one solve per sweep, with no
+dense ``A0``/``A2``.  The refinement's linear contraction rate is
+``sp(R) sp(G)``, which approaches 1 for the near-critical headline queues,
+so the warm start mainly pays off on lightly-loaded sweep points; the
+fallback keeps the result exact either way.
 """
 
 from __future__ import annotations
@@ -321,7 +324,7 @@ def _rate_from_g(a0: np.ndarray, a1: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _dense_blocks(
     d0: sp.csr_matrix, rates: np.ndarray, mu: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense general ``(A0, A1, A2)`` for the oracles and the warm start."""
+    """Dense general ``(A0, A1, A2)`` for the ``lr``/``fixed-point`` oracles."""
     identity = np.eye(rates.size)
     return np.diag(rates), d0.toarray() - mu * identity, mu * identity
 
@@ -383,28 +386,39 @@ def _boundary_and_mean_level(
 
 
 def _refine_rate_matrix(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
+    d0: sp.csr_matrix,
+    rates: np.ndarray,
+    mu: float,
     tol: float,
     initial: np.ndarray,
 ) -> np.ndarray | None:
     """Budgeted warm-start refinement; ``None`` when it fails to contract.
 
-    Runs the fixed-point sweep from ``initial`` for at most
-    :data:`_WARM_START_BUDGET` iterations.  The sweep contracts linearly at
-    roughly ``sp(R) sp(G)``, so a guess from a nearby sweep point converges
-    in a handful of sweeps on lightly-loaded points and stalls near
-    criticality.  After a few sweeps the observed contraction factor is
-    extrapolated; when the projected iteration count exceeds the budget the
-    refinement bails out immediately so a stalled warm start costs a small
-    fraction of the cold solve it falls back to.
+    Runs the fixed-point sweep ``R <- -(diag(rates) + mu R^2) A1^{-1}``
+    from ``initial`` for at most :data:`_WARM_START_BUDGET` iterations, on
+    the MMPP/M/1 blocks themselves: ``A1 = D0 - mu I`` is LU-factored
+    once, and each sweep is one GEMM (``R @ R``), a scaling, a diagonal
+    update and one solve, with no dense ``A0``/``A2``.
+
+    The sweep contracts linearly at roughly ``sp(R) sp(G)``, so a guess
+    from a nearby sweep point converges in a handful of sweeps on
+    lightly-loaded points and stalls near criticality.  After a few
+    sweeps the observed contraction factor is extrapolated; when the
+    projected iteration count exceeds the budget the refinement bails out
+    immediately so a stalled warm start costs a small fraction of the
+    cold solve it falls back to.
     """
+    diag = np.arange(rates.size)
+    a1 = d0.toarray()
+    a1[diag, diag] -= mu
     lu_a1t = lu_factor(a1.T)
     rate = initial.copy()
     previous_delta = None
     for sweep in range(_WARM_START_BUDGET):
-        updated = lu_solve(lu_a1t, -(a0 + rate @ rate @ a2).T).T
+        rhs = rate @ rate
+        rhs *= -mu
+        rhs[diag, diag] -= rates
+        updated = lu_solve(lu_a1t, rhs.T).T
         delta = float(np.abs(updated - rate).max())
         rate = updated
         if delta < tol:
@@ -503,8 +517,9 @@ def solve_mmpp_m1(
             )
 
         def refine_warm_start():
-            a0, a1, a2 = _dense_blocks(d0, rates, service_rate)
-            refined = _refine_rate_matrix(a0, a1, a2, tol, initial_rate_matrix)
+            refined = _refine_rate_matrix(
+                d0, rates, service_rate, tol, initial_rate_matrix
+            )
             if refined is None:
                 raise RungRejected(
                     "warm-start refinement did not contract to tolerance "

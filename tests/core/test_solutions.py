@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+from importlib import import_module
+
 import numpy as np
 import pytest
 
@@ -228,10 +232,17 @@ class TestConditionReport:
 
 
 class TestQBDWarmStart:
-    """Solution 0's sweep warm-start contract."""
+    """Solution 0's sweep warm-start contract.
+
+    The ``qbd`` tests solve chains no other test uses (``small_hap`` with
+    its message arrival rate nudged): a cold call on a chain an earlier
+    call already solved is answered from Solution 0's memo and reports no
+    ``R``, which would leave nothing to warm-start from.
+    """
 
     def test_qbd_exposes_rate_matrix(self, small_hap):
-        qbd = solve_solution0(small_hap, backend="qbd", modulating_bounds=(6, 12))
+        params = small_hap.scaled("message", "arrival", 1.01)
+        qbd = solve_solution0(params, backend="qbd", modulating_bounds=(6, 12))
         assert qbd.rate_matrix is not None
         assert qbd.rate_matrix.shape == (7 * 13, 7 * 13)
 
@@ -243,17 +254,21 @@ class TestQBDWarmStart:
 
     def test_warm_start_reproduces_cold_answer(self, small_hap):
         bounds = (6, 12)
-        cold = solve_solution0(small_hap, backend="qbd", modulating_bounds=bounds)
-        scaled = small_hap.scaled("application", "both", 1.1)
+        params = small_hap.scaled("message", "arrival", 1.02)
+        cold = solve_solution0(params, backend="qbd", modulating_bounds=bounds)
+        assert cold.rate_matrix is not None
+        scaled = params.scaled("application", "both", 1.1)
         warm = solve_solution0(
             scaled,
             backend="qbd",
             modulating_bounds=bounds,
             qbd_initial_rate_matrix=cold.rate_matrix,
         )
+        assert warm.rate_matrix is not None
         reference = solve_solution0(
             scaled, backend="qbd", modulating_bounds=bounds
         )
+        assert reference.rate_matrix is not None
         assert warm.mean_delay == pytest.approx(reference.mean_delay, rel=1e-9)
         assert warm.sigma == pytest.approx(reference.sigma, rel=1e-9)
 
@@ -274,16 +289,211 @@ class TestSolution0Golden:
     )
     def test_fig12_exact_delay(self, lam, reference):
         from repro.experiments.configs import base_parameters
+        from repro.experiments.fig11_12 import exact_column_bounds
 
         params = base_parameters(service_rate=17.0, user_arrival_rate=lam)
-        u = params.mean_users
-        c_total = sum(app.offered_instances for app in params.applications)
-        x_max = int(np.ceil(u + 4.0 * np.sqrt(u)))
-        y_max = int(np.ceil(u * c_total + 4.0 * np.sqrt(u * c_total * (1 + c_total))))
         result = solve_solution0(
             params,
             17.0,
             backend="qbd",
-            modulating_bounds=(max(x_max, 2), max(y_max, 2)),
+            modulating_bounds=exact_column_bounds(params),
         )
         assert result.mean_delay == pytest.approx(reference, rel=1e-9)
+
+
+class TestSolution0Memo:
+    """Cold ``qbd`` answers are memoized per (mapped chain, mu'', z_max).
+
+    Every test builds its own chain (a message arrival rate no other test
+    uses), so the process-wide mapping cache cannot hand it a memo that an
+    earlier test filled.
+    """
+
+    _fresh = itertools.count()
+    BOUNDS = (4, 8)
+
+    def _hap(self, **overrides):
+        from repro.core.params import HAPParameters
+
+        fields = dict(
+            user_arrival_rate=0.05,
+            user_departure_rate=0.05,
+            app_arrival_rate=0.05,
+            app_departure_rate=0.05,
+            message_arrival_rate=0.4 + 1e-6 * (1 + next(self._fresh)),
+            message_service_rate=3.0,
+            num_app_types=2,
+            num_message_types=1,
+            name="memo",
+        )
+        fields.update(overrides)
+        return HAPParameters.symmetric(**fields)
+
+    @pytest.fixture
+    def qbd_calls(self, monkeypatch):
+        """Counts the QBD solves Solution 0 runs."""
+        solution0 = import_module("repro.core.solution0")
+        original = solution0.solve_mmpp_m1
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solution0, "solve_mmpp_m1", counting)
+        return calls
+
+    def _solve(self, params, service_rate=3.0, **kwargs):
+        kwargs.setdefault("modulating_bounds", self.BOUNDS)
+        return solve_solution0(params, service_rate, backend="qbd", **kwargs)
+
+    def test_second_cold_call_skips_the_solve(self, qbd_calls):
+        params = self._hap()
+        first = self._solve(params)
+        second = self._solve(params)
+        assert len(qbd_calls) == 1
+        assert second.mean_delay == first.mean_delay
+        assert second.sigma == first.sigma
+        assert second.utilization == first.utilization
+        np.testing.assert_array_equal(
+            second.queue_length_pmf, first.queue_length_pmf
+        )
+        assert first.rate_matrix is not None
+        assert second.rate_matrix is None
+
+    def test_name_and_message_service_rate_share_the_answer(self, qbd_calls):
+        params = self._hap()
+        first = self._solve(params)
+        renamed = replace(params.with_service_rate(9.0), name="renamed")
+        hit = self._solve(renamed, 3.0)
+        assert len(qbd_calls) == 1
+        assert hit.params is renamed
+        assert first.params is params
+        assert hit.mean_delay == first.mean_delay
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"service_rate": 3.5},
+            {"z_max": 200},
+            {"modulating_bounds": (5, 8)},
+            {"phase_mass_tol": 1e-9},
+        ],
+        ids=["service-rate", "z-max", "bounds", "phase-mass-tol"],
+    )
+    def test_other_inputs_miss(self, qbd_calls, change):
+        params = self._hap()
+        self._solve(params)
+        self._solve(params, **change)
+        assert len(qbd_calls) == 2
+
+    def test_other_backends_neither_read_nor_write(self, qbd_calls):
+        params = self._hap()
+        direct = solve_solution0(
+            params, 3.0, backend="direct", modulating_bounds=self.BOUNDS, z_max=60
+        )
+        assert direct.backend == "direct"
+        qbd = self._solve(params, z_max=60)
+        assert len(qbd_calls) == 1
+        again = solve_solution0(
+            params, 3.0, backend="direct", modulating_bounds=self.BOUNDS, z_max=60
+        )
+        assert again.backend == "direct"
+        assert again.boundary_mass == direct.boundary_mass
+        assert qbd.boundary_mass == 0.0
+
+    def test_warm_started_calls_bypass_the_memo(self, qbd_calls):
+        params = self._hap()
+        neighbour = self._solve(params, 3.5).rate_matrix
+        warm = self._solve(params, qbd_initial_rate_matrix=neighbour)
+        assert warm.rate_matrix is not None
+        cold = self._solve(params)  # the warm answer was not stored ...
+        assert cold.rate_matrix is not None
+        again = self._solve(params, qbd_initial_rate_matrix=neighbour)
+        assert again.rate_matrix is not None  # ... nor read back
+        assert len(qbd_calls) == 4
+        assert warm.mean_delay == pytest.approx(cold.mean_delay, rel=1e-9)
+
+    def test_unstable_rate_raises_every_call(self, qbd_calls):
+        params = self._hap()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unstable"):
+                self._solve(params, 0.5)
+        assert len(qbd_calls) == 2
+
+    def test_pmf_is_read_only(self):
+        params = self._hap()
+        first = self._solve(params)
+        hit = self._solve(params)
+        for pmf in (first.queue_length_pmf, hit.queue_length_pmf):
+            with pytest.raises(ValueError):
+                pmf[0] = 1.0
+        assert self._solve(params).queue_length_pmf.sum() == pytest.approx(
+            1.0, abs=1e-5
+        )
+
+    def test_memo_lives_on_the_shared_chain_and_is_bounded(self):
+        from repro.core.mmpp_mapping import symmetric_hap_to_mmpp
+        from repro.core.solution0 import _MEMO_SIZE
+
+        params = self._hap()
+        mapped = symmetric_hap_to_mmpp(params, *self.BOUNDS)
+        rates = [3.0 + 0.1 * k for k in range(_MEMO_SIZE + 1)]
+        for rate in rates:
+            self._solve(params, rate, z_max=20)
+        assert len(mapped.solution0_memo) == _MEMO_SIZE
+        assert (rates[0], 20) not in mapped.solution0_memo
+        assert (rates[-1], 20) in mapped.solution0_memo
+        assert all(
+            entry.rate_matrix is None for entry in mapped.solution0_memo.values()
+        )
+
+    def test_concurrent_cold_calls_keep_the_memo_consistent(self):
+        # Live admission solves run in worker threads: racing inserts and
+        # evictions on one chain must neither raise nor overfill the memo.
+        import sys
+        import threading
+
+        from repro.core.mmpp_mapping import symmetric_hap_to_mmpp
+        from repro.core.solution0 import _MEMO_SIZE
+
+        params = self._hap()
+        bounds = (2, 4)
+        rates = [3.0 + 0.05 * k for k in range(2 * _MEMO_SIZE)]
+        expected = {
+            rate: solve_solution0(
+                params, rate, backend="qbd", modulating_bounds=bounds, z_max=10
+            ).mean_delay
+            for rate in rates
+        }
+        errors, mismatches = [], []
+
+        def worker(offset):
+            try:
+                for rate in rates[offset:] + rates[:offset]:
+                    result = solve_solution0(
+                        params, rate, backend="qbd", modulating_bounds=bounds,
+                        z_max=10,
+                    )
+                    reference = pytest.approx(expected[rate], rel=1e-12)
+                    if result.mean_delay != reference:
+                        mismatches.append(rate)
+            except Exception as exc:  # recorded, asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(3 * k,)) for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        memo = symmetric_hap_to_mmpp(params, *bounds).solution0_memo
+        assert len(memo) <= _MEMO_SIZE

@@ -81,6 +81,25 @@ class TestFig11And12:
         assert points[0].delay_mm1 < points[1].delay_mm1
 
 
+class TestRuntimeComparison:
+    def test_every_call_times_a_real_solution0_solve(self, monkeypatch):
+        """A repeated call must not time Solution 0's memo lookup."""
+        from repro.core import solution0
+        from repro.experiments.accuracy import run_runtime_comparison
+
+        original = solution0.solve_mmpp_m1
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solution0, "solve_mmpp_m1", counting)
+        for _ in range(2):
+            run_runtime_comparison(modulating_bounds=(6, 20))
+        assert calls == [20.0, 20.0]
+
+
 class TestFig19:
     def test_lambda_bar_linear_in_every_level(self):
         points = run_fig19(factors=(0.9, 1.1))

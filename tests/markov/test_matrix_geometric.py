@@ -248,6 +248,24 @@ class TestWarmStart:
             cold.mean_delay(), rel=1e-10
         )
 
+    def test_warm_start_rung_builds_no_dense_blocks(self, monkeypatch):
+        # The refinement works on the MMPP/M/1 blocks themselves; only the
+        # lr/fixed-point oracles may build dense general blocks.
+        import repro.markov.matrix_geometric as matrix_geometric
+
+        mmpp = bursty_mmpp()
+        cold = solve_mmpp_m1(mmpp, 5.0)
+
+        def no_dense_blocks(*_args):
+            raise AssertionError("the warm-start rung built dense blocks")
+
+        monkeypatch.setattr(matrix_geometric, "_dense_blocks", no_dense_blocks)
+        warm = solve_mmpp_m1(mmpp, 5.0, initial_rate_matrix=cold.rate_matrix)
+        assert warm.diagnostics.rung == "warm-start"
+        np.testing.assert_allclose(
+            warm.rate_matrix, cold.rate_matrix, atol=1e-10
+        )
+
     def test_warm_start_from_neighbour_point(self):
         # The sweep contract: the converged R of a nearby parameter point
         # is a valid initial guess and must not change the answer.
